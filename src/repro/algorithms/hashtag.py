@@ -66,7 +66,8 @@ class HashtagAggregationComputation(TimeSeriesComputation):
         multiplicity).
     use_kernels:
         Count via the flattened-index aggregation kernel (default) or the
-        scalar per-tweet scan.  Counts are identical either way.
+        scalar per-tweet scan.  Counts are identical either way; the
+        scalar branch is kept as Fig 5a's per-vertex work profile.
     """
 
     pattern = Pattern.EVENTUALLY_DEPENDENT

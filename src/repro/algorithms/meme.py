@@ -60,7 +60,8 @@ class MemeTrackingComputation(TimeSeriesComputation):
     use_kernels:
         Carrier-mask scan and traversal via the vectorized kernel plane
         (default) or the scalar per-vertex loops.  Colored sets are
-        identical either way.
+        identical either way; the scalar branch is kept as Fig 5a's
+        per-vertex work profile.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT

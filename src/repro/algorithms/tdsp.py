@@ -88,7 +88,8 @@ class TDSPComputation(TimeSeriesComputation):
     use_kernels:
         Settle each window with the vectorized kernel plane (default:
         bounded batched Bellman-Ford) or the scalar window-bounded heapq
-        Dijkstra.  Final labels are bit-identical either way.
+        Dijkstra.  Final labels are bit-identical either way; the scalar
+        branch is kept as Fig 5a's per-vertex work profile.
     """
 
     pattern = Pattern.SEQUENTIALLY_DEPENDENT
@@ -272,8 +273,7 @@ class TDSPComputation(TimeSeriesComputation):
         if self.root_pruning:
             unfin = ~finalized
             border = np.zeros(sg.num_vertices, dtype=bool)
-            if len(sg.indices):
-                np.logical_or.at(border, st["slot_src"], unfin[sg.indices])
+            border[st["slot_src"][unfin[sg.indices]]] = True
             st["roots_next"] = np.nonzero(finalized & (border | st["has_remote"]))[0]
         else:
             st["roots_next"] = np.nonzero(finalized)[0]

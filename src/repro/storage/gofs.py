@@ -4,7 +4,7 @@ Layout of a store rooted at ``root/``::
 
     root/template.npz            — the shared graph template
     root/manifest.json           — packing/binning/timestep metadata + bins
-    root/slice_p*_b*_k*.npz      — one slice per (partition, bin, pack)
+    root/slice_p*_b*_k*.gsl      — one slice per (partition, bin, pack)
 
 Writing distributes a partitioned collection into slice files with the
 paper's temporal packing (default 10) and subgraph binning (default 5).
@@ -35,14 +35,7 @@ from ..graph.template import GraphTemplate
 from ..graph.collection import TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
 from .serde import load_template, save_template
-from .slices import (
-    DEFAULT_SLICE_FORMAT,
-    SliceKey,
-    bin_rows,
-    read_slice,
-    slice_nbytes,
-    write_slice,
-)
+from .slices import SliceKey, bin_rows, read_slice, slice_nbytes, write_slice
 
 __all__ = [
     "GoFS",
@@ -58,6 +51,7 @@ DEFAULT_PREFETCH_LEAD = 2  #: rows before a pack boundary that arm the prefetch
 
 _MANIFEST = "manifest.json"
 _TEMPLATE = "template.npz"
+_GSL_VERSION = 2  #: slice container every store is written in (GSL2)
 
 
 class GoFS:
@@ -71,15 +65,10 @@ class GoFS:
         *,
         packing: int = DEFAULT_PACKING,
         binning: int = DEFAULT_BINNING,
-        slice_format: int = DEFAULT_SLICE_FORMAT,
-        compress: bool = False,
     ) -> dict:
-        """Distribute a partitioned collection into slice files.
+        """Distribute a partitioned collection into GSL2 slice files.
 
-        ``slice_format`` picks the on-disk container (2 = zero-copy GSL2,
-        the default; 1 = legacy npz) and ``compress`` is the writer-side
-        compression flag for either.  Returns the manifest dict (also
-        written to ``manifest.json``).
+        Returns the manifest dict (also written to ``manifest.json``).
         """
         if packing < 1 or binning < 1:
             raise ValueError("packing and binning must be >= 1")
@@ -102,19 +91,11 @@ class GoFS:
                 for b, sgids in enumerate(part_bins):
                     subgraphs = [pg.subgraphs[s] for s in sgids]
                     verts, edges = bin_rows(subgraphs)
-                    write_slice(
-                        root,
-                        SliceKey(p, b, k),
-                        verts,
-                        edges,
-                        instances,
-                        slice_format=slice_format,
-                        compress=compress,
-                    )
+                    write_slice(root, SliceKey(p, b, k), verts, edges, instances)
 
         manifest = {
             "format_version": 1,
-            "slice_format": slice_format,
+            "slice_format": _GSL_VERSION,
             "num_timesteps": T,
             "t0": collection.t0,
             "delta": collection.delta,
@@ -132,6 +113,13 @@ class GoFS:
         manifest = json.loads((Path(root) / _MANIFEST).read_text())
         if manifest.get("format_version") != 1:
             raise ValueError("unsupported GoFS manifest version")
+        found = manifest.get("slice_format")
+        if found != _GSL_VERSION:
+            raise ValueError(
+                f"GoFS store {root} uses slice format {found!r}, which is no longer "
+                f"readable (only {_GSL_VERSION} is); rewrite the store with "
+                "GoFS.write_collection"
+            )
         return manifest
 
     @staticmethod

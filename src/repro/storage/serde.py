@@ -13,15 +13,15 @@ offset, nbytes), then one contiguous payload holding the raw array bytes at
 64-byte-aligned offsets.  Numeric arrays deserialize as ``np.frombuffer``
 views over the file bytes — near-memcpy, no pickle, no per-array parsing —
 while object-dtype columns ride a pickled side-channel (``kind: "pickle"``;
-trusted local data, same stance as the schema blobs above).  An optional
-zlib pass over the payload trades the zero-copy read for smaller files.
+trusted local data, same stance as the schema blobs above).  The payload
+is always stored uncompressed so every read stays zero-copy; a header
+whose ``compression`` field is set is rejected.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,11 @@ GSL2_MAGIC = b"GSL2"
 _GSL2_ALIGN = 64
 
 
-def pack_arrays(arrays: dict[str, np.ndarray], *, compress: bool = False) -> bytes:
+def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
     """Serialize named arrays into one GSL2 buffer.
 
     Numeric arrays are laid out as contiguous raw bytes at 64-byte-aligned
-    payload offsets; object-dtype arrays are pickled.  With ``compress`` the
-    payload (not the header) is zlib-compressed — readable by the same
-    :func:`unpack_arrays`, at the cost of the zero-copy view.
+    payload offsets; object-dtype arrays are pickled.
     """
     entries: list[dict] = []
     chunks: list[bytes] = []
@@ -80,31 +78,29 @@ def pack_arrays(arrays: dict[str, np.ndarray], *, compress: bool = False) -> byt
         )
         chunks.append(blob)
         offset += len(blob)
-    payload = b"".join(chunks)
-    if compress:
-        payload = zlib.compress(payload)
-    header = json.dumps(
-        {"compression": "zlib" if compress else None, "arrays": entries}
-    ).encode("utf-8")
-    return GSL2_MAGIC + len(header).to_bytes(4, "little") + header + payload
+    header = json.dumps({"compression": None, "arrays": entries}).encode("utf-8")
+    return GSL2_MAGIC + len(header).to_bytes(4, "little") + header + b"".join(chunks)
 
 
 def unpack_arrays(buf: bytes, *, allow_objects: bool | None = None) -> dict[str, np.ndarray]:
     """Deserialize a :func:`pack_arrays` buffer.
 
-    Raw arrays come back as read-only ``np.frombuffer`` views over ``buf``
-    (zero-copy when the payload is uncompressed).  ``allow_objects=False``
-    refuses pickled columns with a ``ValueError`` instead of unpickling —
-    the strict mode for numeric-only schemas.
+    Raw arrays come back as read-only zero-copy ``np.frombuffer`` views
+    over ``buf``.  ``allow_objects=False`` refuses pickled columns with a
+    ``ValueError`` instead of unpickling — the strict mode for numeric-only
+    schemas.  A compressed payload (written by earlier versions) is
+    rejected with a ``ValueError``.
     """
     if buf[:4] != GSL2_MAGIC:
         raise ValueError("not a GSL2 buffer (bad magic)")
     hlen = int.from_bytes(buf[4:8], "little")
     header = json.loads(buf[8 : 8 + hlen].decode("utf-8"))
-    payload: bytes | memoryview = memoryview(buf)[8 + hlen :]
-    if header["compression"] == "zlib":
-        payload = zlib.decompress(payload)
-    view = memoryview(payload)
+    if header.get("compression") is not None:
+        raise ValueError(
+            f"GSL2 payload compression {header['compression']!r} is no longer "
+            "supported; rewrite the store with GoFS.write_collection"
+        )
+    view = memoryview(buf)[8 + hlen :]
     out: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         chunk = view[entry["offset"] : entry["offset"] + entry["nbytes"]]

@@ -1,12 +1,14 @@
-"""Kernel-plane ↔ scalar-oracle equivalence, asserted bit-for-bit.
+"""Kernel-plane algorithms checked against the centralized oracles.
 
-Every algorithm family runs twice — ``use_kernels=True`` (the vectorized
-kernel plane) and ``use_kernels=False`` (the original scalar settle, kept as
-the measured baseline) — and the two runs must agree byte-identically on
-outputs, merge outputs, and final subgraph states.  Where
-``algorithms/reference.py`` provides an oracle, both runs are also checked
-against it.  A final sweep repeats the check across the serial, thread, and
-process executor backends.
+SSSP/BFS, temporal reachability, PageRank and community evolution have one
+implementation, the kernel plane; each is checked against its oracle in
+``algorithms/reference.py`` (exact equality, except PageRank at
+``atol=1e-12``).  TDSP, MEME and HASH still carry a scalar per-vertex branch
+(``use_kernels=False``, the Fig 5a work profile), so their kernel runs must
+also agree byte-identically with the scalar runs on outputs, merge outputs
+and final subgraph states.  A final sweep repeats the oracle checks on the
+serial, thread and process executor backends and requires their runs to
+agree byte-for-byte.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (
+    BFSComputation,
     CommunityEvolutionComputation,
     HashtagAggregationComputation,
     MemeTrackingComputation,
@@ -45,28 +48,59 @@ def build_case(seed=0, n=40, m=90, T=2, k=3, directed=False):
     return tpl, coll, pg
 
 
-def snapshot(comp, pg, coll, executor="serial", *, states=True, **run_kwargs):
+def snapshot(comp, pg, coll, executor="serial", **run_kwargs):
+    """Run ``comp``; return the result and its canonical outputs/merges/states."""
     res = run_application(
         comp, pg, coll, config=EngineConfig(executor=executor), **run_kwargs
     )
-    parts = [_canonical(res.outputs), _canonical(res.merge_outputs)]
-    if states:
-        parts.append(_canonical(res.states))
-    return res, tuple(parts)
+    return res, (_canonical(res.outputs), _canonical(res.merge_outputs), _canonical(res.states))
 
 
-def assert_kernel_matches_scalar(make_comp, pg, coll, *, states=True, **run_kwargs):
-    """Run kernel and scalar variants; assert byte-identical; return results.
-
-    ``states=False`` limits the comparison to outputs and merge outputs for
-    computations whose *internal* state layout legitimately differs between
-    the two paths (e.g. scalar-only scratch arrays) while the results must
-    still agree byte-for-byte.
-    """
-    res_k, snap_k = snapshot(make_comp(use_kernels=True), pg, coll, states=states, **run_kwargs)
-    res_s, snap_s = snapshot(make_comp(use_kernels=False), pg, coll, states=states, **run_kwargs)
+def assert_kernel_matches_scalar(make_comp, pg, coll, **run_kwargs):
+    """Run kernel and scalar variants; assert byte-identical; return the kernel run."""
+    res_k, snap_k = snapshot(make_comp(use_kernels=True), pg, coll, **run_kwargs)
+    _res_s, snap_s = snapshot(make_comp(use_kernels=False), pg, coll, **run_kwargs)
     assert snap_k == snap_s
-    return res_k, res_s
+    return res_k
+
+
+# -- oracle checks: (result, template, collection) -> None ------------------------------
+
+
+def check_sssp(res, tpl, coll, weight_attr="latency"):
+    weights = coll.instance(0).edge_column(weight_attr) if weight_attr else None
+    got = sssp_labels_from_result(res, tpl.num_vertices)
+    want = ref.single_source_shortest_paths(tpl, 0, weights)
+    # Same least fixpoint reached through the same final float additions.
+    assert got.tobytes() == want.tobytes()
+
+
+def check_bfs(res, tpl, coll):
+    check_sssp(res, tpl, coll, weight_attr=None)
+
+
+def check_pagerank(res, tpl, coll):
+    got = pagerank_from_result(res, tpl.num_vertices)
+    np.testing.assert_allclose(got, ref.pagerank(tpl, iterations=15), atol=1e-12)
+
+
+def check_reach(res, tpl, coll):
+    assert reached_timesteps_from_result(res) == ref.temporal_reachability(coll, 0)
+
+
+def check_evolve(res, tpl, coll):
+    (_sg, summary), = res.merge_outputs
+    for t in range(len(coll)):
+        assert np.array_equal(summary.labels[t], ref.instance_communities(coll, t)), t
+
+
+def check_tdsp(res, tpl, coll):
+    got = tdsp_labels_from_result(res, tpl.num_vertices)
+    assert got.tobytes() == ref.time_expanded_dijkstra(coll, 0).tobytes()
+
+
+def check_meme(res, tpl, coll):
+    assert colored_timesteps_from_result(res) == ref.temporal_meme_bfs(coll, 1)
 
 
 class TestSSSP:
@@ -74,18 +108,8 @@ class TestSSSP:
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 4), directed=st.booleans())
     def test_bit_identical_and_matches_reference(self, seed, k, directed):
         tpl, coll, pg = build_case(seed, k=k, directed=directed)
-        res_k, _ = assert_kernel_matches_scalar(
-            lambda **kw: SSSPComputation(0, "latency", **kw),
-            pg,
-            coll,
-            timestep_range=(0, 1),
-        )
-        got = sssp_labels_from_result(res_k, tpl.num_vertices)
-        want = ref.single_source_shortest_paths(
-            tpl, 0, coll.instance(0).edge_column("latency")
-        )
-        # Same least fixpoint reached through the same final float additions.
-        assert got.tobytes() == want.tobytes()
+        res = run_application(SSSPComputation(0, "latency"), pg, coll, timestep_range=(0, 1))
+        check_sssp(res, tpl, coll)
 
 
 class TestTDSP:
@@ -93,12 +117,8 @@ class TestTDSP:
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 4))
     def test_bit_identical_and_matches_reference(self, seed, k):
         tpl, coll, pg = build_case(seed, T=4, k=k)
-        res_k, _ = assert_kernel_matches_scalar(
-            lambda **kw: TDSPComputation(0, **kw), pg, coll
-        )
-        got = tdsp_labels_from_result(res_k, tpl.num_vertices)
-        want = ref.time_expanded_dijkstra(coll, 0)
-        assert got.tobytes() == want.tobytes()
+        res_k = assert_kernel_matches_scalar(lambda **kw: TDSPComputation(0, **kw), pg, coll)
+        check_tdsp(res_k, tpl, coll)
 
     def test_root_pruning_off_still_bit_identical(self):
         _tpl, coll, pg = build_case(7, T=3)
@@ -111,11 +131,8 @@ class TestReachability:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16), directed=st.booleans())
     def test_bit_identical_and_matches_reference(self, seed, directed):
-        _tpl, coll, pg = evolving_case(seed, directed=directed)
-        res_k, _ = assert_kernel_matches_scalar(
-            lambda **kw: TemporalReachabilityComputation(0, **kw), pg, coll
-        )
-        assert reached_timesteps_from_result(res_k) == ref.temporal_reachability(coll, 0)
+        tpl, coll, pg = evolving_case(seed, directed=directed)
+        check_reach(run_application(TemporalReachabilityComputation(0), pg, coll), tpl, coll)
 
 
 class TestMeme:
@@ -125,10 +142,10 @@ class TestMeme:
         tpl = make_grid_template(5, 6)
         coll = build_collection(tpl, 4, populate_random(seed))
         pg = partition_graph(tpl, 3, HashPartitioner(seed=seed))
-        res_k, _ = assert_kernel_matches_scalar(
+        res_k = assert_kernel_matches_scalar(
             lambda **kw: MemeTrackingComputation(1, **kw), pg, coll
         )
-        assert colored_timesteps_from_result(res_k) == ref.temporal_meme_bfs(coll, 1)
+        check_meme(res_k, tpl, coll)
 
 
 class TestHashtag:
@@ -138,7 +155,7 @@ class TestHashtag:
         tpl = make_grid_template(5, 6)
         coll = build_collection(tpl, 4, populate_random(seed))
         pg = partition_graph(tpl, 3, HashPartitioner(seed=seed))
-        res_k, _ = assert_kernel_matches_scalar(
+        res_k = assert_kernel_matches_scalar(
             lambda **kw: HashtagAggregationComputation.for_partitioned_graph(pg, 2, **kw),
             pg,
             coll,
@@ -149,14 +166,10 @@ class TestHashtag:
 
 class TestPageRank:
     @pytest.mark.parametrize("directed", [False, True])
-    def test_bit_identical(self, directed):
+    def test_matches_reference(self, directed):
         tpl, coll, pg = build_case(13, directed=directed)
-        res_k, _ = assert_kernel_matches_scalar(
-            lambda **kw: PageRankComputation(15, **kw), pg, coll, timestep_range=(0, 1)
-        )
-        got = pagerank_from_result(res_k, tpl.num_vertices)
-        want = ref.pagerank(tpl, iterations=15)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        res = run_application(PageRankComputation(15), pg, coll, timestep_range=(0, 1))
+        check_pagerank(res, tpl, coll)
 
 
 class TestEvolution:
@@ -164,44 +177,58 @@ class TestEvolution:
     @given(seed=st.integers(0, 2**16))
     def test_bit_identical(self, seed):
         tpl, coll, pg = evolving_case(seed, T=5)
-        # Scalar-only scratch (slot_src, scipy's int32 comp ids) makes raw
-        # state layouts differ; the emitted community labels must not.
-        assert_kernel_matches_scalar(
-            lambda **kw: CommunityEvolutionComputation(tpl.num_vertices, **kw),
-            pg,
-            coll,
-            states=False,
-        )
+        res = run_application(CommunityEvolutionComputation(tpl.num_vertices), pg, coll)
+        check_evolve(res, tpl, coll)
+
+
+#: family -> (factory(template, **kw), oracle check).  Factories that take
+#: ``use_kernels`` belong to the families that keep a scalar branch.
+SWEEP = {
+    "sssp": (lambda tpl: SSSPComputation(0, "latency"), check_sssp),
+    "bfs": (lambda tpl: BFSComputation(0), check_bfs),
+    "pagerank": (lambda tpl: PageRankComputation(15), check_pagerank),
+    "reach": (lambda tpl: TemporalReachabilityComputation(0), check_reach),
+    "evolve": (lambda tpl: CommunityEvolutionComputation(tpl.num_vertices), check_evolve),
+    "tdsp": (lambda tpl, **kw: TDSPComputation(0, **kw), check_tdsp),
+    "meme": (lambda tpl, **kw: MemeTrackingComputation(1, **kw), check_meme),
+}
+SCALAR_BASELINE = {"tdsp", "meme"}
+ONE_TIMESTEP = {"sssp", "bfs", "pagerank"}
+ON_EVOLVING_CASE = {"reach", "evolve"}
 
 
 class TestExecutorSweep:
-    """Kernel runs agree with the serial scalar baseline on every backend."""
+    """Every backend reproduces the serial run byte-for-byte and the oracle.
+
+    The serial baseline is the scalar run for the families that keep one
+    (TDSP, MEME) and the serial kernel run for the others.
+    """
 
     @pytest.fixture(scope="class")
-    def case(self):
+    def grid_case(self):
         tpl = make_grid_template(5, 6)
         coll = build_collection(tpl, 4, populate_random(23), delta=6.0)
         pg = partition_graph(tpl, 3, HashPartitioner(seed=3))
         return tpl, coll, pg
 
+    @pytest.fixture(scope="class")
+    def evolving(self):
+        return evolving_case(5, T=5)
+
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("name", ["sssp", "tdsp", "meme"])
-    def test_kernel_on_executor_matches_scalar_serial(self, case, name, executor):
-        _tpl, coll, pg = case
-        factories = {
-            "sssp": lambda **kw: SSSPComputation(0, "latency", **kw),
-            "tdsp": lambda **kw: TDSPComputation(0, **kw),
-            "meme": lambda **kw: MemeTrackingComputation(1, **kw),
-        }
-        kwargs = {"timestep_range": (0, 1)} if name == "sssp" else {}
+    @pytest.mark.parametrize("name", list(SWEEP))
+    def test_kernel_on_executor_matches_serial_and_reference(
+        self, grid_case, evolving, name, executor
+    ):
+        tpl, coll, pg = evolving if name in ON_EVOLVING_CASE else grid_case
+        make, check = SWEEP[name]
+        kwargs = {"timestep_range": (0, 1)} if name in ONE_TIMESTEP else {}
         if executor == "process":
             kwargs["sources"] = [
                 CollectionInstanceSource(coll) for _ in range(pg.num_partitions)
             ]
-        _, baseline = snapshot(
-            factories[name](use_kernels=False), pg, coll, "serial", **kwargs
-        )
-        _, got = snapshot(
-            factories[name](use_kernels=True), pg, coll, executor, **kwargs
-        )
+        baseline_comp = make(tpl, use_kernels=False) if name in SCALAR_BASELINE else make(tpl)
+        _, baseline = snapshot(baseline_comp, pg, coll, "serial", **kwargs)
+        res, got = snapshot(make(tpl), pg, coll, executor, **kwargs)
         assert got == baseline
+        check(res, tpl, coll)

@@ -1,4 +1,6 @@
-"""Zero-copy GSL2 slice format: round-trips, back-compat, pickle gating."""
+"""Zero-copy GSL2 slice format: round-trips, pickle gating, retired formats."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from repro.storage import (
     write_slice,
 )
 from repro.storage.serde import GSL2_MAGIC, pack_arrays, unpack_arrays
-from repro.storage.slices import DEFAULT_SLICE_FORMAT
 from tests.conftest import make_grid_template, populate_random
 
 
@@ -32,11 +33,10 @@ def sample_arrays(with_objects=False):
 
 
 class TestPackArrays:
-    @pytest.mark.parametrize("compress", [False, True])
     @pytest.mark.parametrize("with_objects", [False, True])
-    def test_roundtrip(self, compress, with_objects):
+    def test_roundtrip(self, with_objects):
         arrays = sample_arrays(with_objects)
-        buf = pack_arrays(arrays, compress=compress)
+        buf = pack_arrays(arrays)
         assert buf[:4] == GSL2_MAGIC
         out = unpack_arrays(buf)
         assert set(out) == set(arrays)
@@ -56,8 +56,6 @@ class TestPackArrays:
         assert a.base is not None
 
     def test_payload_offsets_are_aligned(self):
-        import json
-
         buf = pack_arrays(sample_arrays())
         hlen = int.from_bytes(buf[4:8], "little")
         header = json.loads(buf[8 : 8 + hlen])
@@ -76,6 +74,17 @@ class TestPackArrays:
         with pytest.raises(ValueError, match="magic"):
             unpack_arrays(b"NOPE" + b"\x00" * 16)
 
+    def test_compressed_payload_rejected(self):
+        """Compressed payloads from earlier writers fail loudly, not silently."""
+        buf = pack_arrays(sample_arrays())
+        hlen = int.from_bytes(buf[4:8], "little")
+        header = json.loads(buf[8 : 8 + hlen])
+        header["compression"] = "zlib"
+        raw = json.dumps(header).encode("utf-8")
+        forged = GSL2_MAGIC + len(raw).to_bytes(4, "little") + raw + buf[8 + hlen :]
+        with pytest.raises(ValueError, match="zlib"):
+            unpack_arrays(forged)
+
 
 @pytest.fixture
 def slice_case():
@@ -90,15 +99,12 @@ def slice_case():
 
 
 class TestWriteReadSlice:
-    @pytest.mark.parametrize("slice_format", [1, 2])
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_formats_agree(self, tmp_path, slice_case, slice_format, compress):
+    def test_write_read_roundtrip(self, tmp_path, slice_case):
         verts, edges, instances = slice_case
         key = SliceKey(0, 0, 0)
-        write_slice(
-            tmp_path, key, verts, edges, instances,
-            slice_format=slice_format, compress=compress,
-        )
+        path = write_slice(tmp_path, key, verts, edges, instances)
+        assert path == tmp_path / slice_filename(key)
+        assert path.suffix == ".gsl"
         data = read_slice(tmp_path, key)
         assert np.array_equal(data["vertex_rows"], verts)
         assert np.array_equal(data["edge_rows"], edges)
@@ -111,35 +117,10 @@ class TestWriteReadSlice:
                 data["e__latency"][i], inst.edge_values.column("latency")[edges]
             )
 
-    def test_v2_preferred_over_v1(self, tmp_path, slice_case):
-        verts, edges, instances = slice_case
-        key = SliceKey(0, 0, 0)
-        write_slice(tmp_path, key, verts, edges, instances, slice_format=1)
-        write_slice(tmp_path, key, verts, edges, instances[:1], slice_format=2)
-        data = read_slice(tmp_path, key)  # the 1-instance v2 file wins
-        assert data["v__traffic"].shape[0] == 1
-
-    def test_filename_extension_per_format(self):
+    def test_missing_slice_names_gsl_path(self, tmp_path):
         key = SliceKey(1, 2, 3)
-        assert slice_filename(key, 2).endswith(".gsl")
-        assert slice_filename(key, 1).endswith(".npz")
-        assert slice_filename(key) == slice_filename(key, DEFAULT_SLICE_FORMAT)
-
-    def test_unknown_format_rejected(self, tmp_path, slice_case):
-        verts, edges, instances = slice_case
-        with pytest.raises(ValueError, match="format"):
-            write_slice(tmp_path, SliceKey(0, 0, 0), verts, edges, instances, slice_format=3)
-
-    def test_numeric_only_v1_never_unpickles(self, tmp_path, slice_case):
-        """allow_objects=None tries the strict npz path first and only
-        retries permissively when object columns are actually present."""
-        verts, edges, instances = slice_case
-        key = SliceKey(0, 0, 0)
-        write_slice(tmp_path, key, verts, edges, instances, slice_format=1)
-        with pytest.raises(ValueError):
-            read_slice(tmp_path, key, allow_objects=False)  # tweets are objects
-        data = read_slice(tmp_path, key, allow_objects=None)  # auto-retry
-        assert "v__tweets" in data
+        with pytest.raises(FileNotFoundError, match=r"slice_p001_b0002_k0003\.gsl"):
+            read_slice(tmp_path, key)
 
 
 class TestGoFSFormats:
@@ -150,17 +131,11 @@ class TestGoFSFormats:
         pg = partition_graph(tpl, 2, HashPartitioner(seed=4))
         return tpl, coll, pg
 
-    @pytest.mark.parametrize("slice_format", [1, 2])
-    def test_instances_identical_across_formats(self, case, tmp_path, slice_format):
+    def test_instances_identical_to_collection(self, case, tmp_path):
         tpl, coll, pg = case
-        root = tmp_path / f"v{slice_format}"
-        manifest = GoFS.write_collection(
-            root, pg, coll, packing=3, binning=2, slice_format=slice_format
-        )
-        assert manifest["slice_format"] == slice_format
-        assert GoFS.read_manifest(root)["slice_format"] == slice_format
+        GoFS.write_collection(tmp_path, pg, coll, packing=3, binning=2)
         for p in range(pg.num_partitions):
-            view = GoFS.partition_view(root, p)
+            view = GoFS.partition_view(tmp_path, p)
             for t in range(len(coll)):
                 inst = view.instance(t)
                 part = pg.partitions[p]
@@ -175,17 +150,16 @@ class TestGoFSFormats:
                         == coll.instance(t).vertex_column("tweets")[rows].tolist()
                     )
 
-    def test_compressed_v2_smaller_and_identical(self, case, tmp_path):
+    def test_retired_npz_store_rejected(self, case, tmp_path):
+        """A store written in the retired .npz format names itself and the fix."""
         tpl, coll, pg = case
-        raw_root, zip_root = tmp_path / "raw", tmp_path / "zip"
-        GoFS.write_collection(raw_root, pg, coll, packing=3, binning=2)
-        GoFS.write_collection(zip_root, pg, coll, packing=3, binning=2, compress=True)
-        raw_bytes = sum(f.stat().st_size for f in raw_root.glob("*.gsl"))
-        zip_bytes = sum(f.stat().st_size for f in zip_root.glob("*.gsl"))
-        assert zip_bytes < raw_bytes
-        v_raw = GoFS.partition_view(raw_root, 0).instance(4)
-        v_zip = GoFS.partition_view(zip_root, 0).instance(4)
-        assert (
-            v_raw.vertex_column("traffic").tobytes()
-            == v_zip.vertex_column("traffic").tobytes()
-        )
+        GoFS.write_collection(tmp_path, pg, coll, packing=3, binning=2)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["slice_format"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            GoFS.read_manifest(tmp_path)
+        message = str(err.value)
+        assert str(tmp_path) in message
+        assert "slice format 1" in message and "GoFS.write_collection" in message
