@@ -70,7 +70,7 @@ def weather(instance, timestep):
     temps = (field + hot + noise).ravel()
     faulty = rng.choice(GRID * GRID, size=3, replace=False)
     temps[faulty] += rng.choice([-15, 15], size=3)
-    instance.vertex_values.set_column("temperature", temps)
+    instance.vertex_table.set_column("temperature", temps)
 
 
 class AnomalyDetector(TimeSeriesComputation):
@@ -81,7 +81,7 @@ class AnomalyDetector(TimeSeriesComputation):
     def compute(self, ctx):
         sg, st = ctx.subgraph, ctx.state
         if ctx.superstep == 0:
-            temps = ctx.instance.vertex_column("temperature")[sg.vertices]
+            temps = ctx.vertex_values("temperature")
             st["temps"] = temps
             if "ewma" not in st:
                 st["ewma"] = temps.copy()

@@ -42,7 +42,7 @@ def main() -> None:
         rng = np.random.default_rng(100 + timestep)
         base = rng.uniform(1.0, 3.0, template.num_edges)
         congestion = 1.0 + 2.0 * np.sin(np.pi * timestep / 5)  # builds then eases
-        instance.edge_values.set_column("latency", base * congestion)
+        instance.edge_table.set_column("latency", base * congestion)
 
     collection = build_collection(template, 6, rush_hour, delta=5.0)
 

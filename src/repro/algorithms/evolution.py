@@ -127,11 +127,11 @@ class CommunityEvolutionComputation(TimeSeriesComputation):
         """Label this subgraph's components over currently existing edges."""
         sg, st = ctx.subgraph, ctx.state
         if self.exists_attr in ctx.instance.template.edge_schema:
-            exists = ctx.instance.edge_column(self.exists_attr).astype(bool)
+            mask_local = ctx.edge_values(self.exists_attr).astype(bool)
+            st["exists_remote"] = ctx.remote_edge_values(self.exists_attr).astype(bool)
         else:
-            exists = np.ones(ctx.instance.template.num_edges, dtype=bool)
-        mask_local = exists[sg.edge_index]
-        st["exists_remote"] = exists[sg.remote.edge_index]
+            mask_local = np.ones(len(sg.edge_index), dtype=bool)
+            st["exists_remote"] = np.ones(len(sg.remote), dtype=bool)
 
         ncomp, comp_id = csr_components(sg.indptr, sg.indices, edge_mask=mask_local)
         comp_label = np.full(ncomp, np.iinfo(np.int64).max, dtype=np.int64)

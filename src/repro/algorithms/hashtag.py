@@ -107,7 +107,7 @@ class HashtagAggregationComputation(TimeSeriesComputation):
 
     def compute(self, ctx: ComputeContext) -> None:
         if ctx.superstep == 0:
-            tweets = ctx.instance.vertex_column(self.tweets_attr)[ctx.subgraph.vertices]
+            tweets = ctx.vertex_values(self.tweets_attr)
             tag = self.hashtag
             if self.use_kernels:
                 count = count_equal_in_cells(tweets, tag)

@@ -82,8 +82,7 @@ class MemeTrackingComputation(TimeSeriesComputation):
 
     def _has_meme_mask(self, ctx: ComputeContext) -> np.ndarray:
         """Which local vertices carry the meme in the current instance."""
-        sg = ctx.subgraph
-        tweets = ctx.instance.vertex_column(self.tweets_attr)[sg.vertices]
+        tweets = ctx.vertex_values(self.tweets_attr)
         if self.use_kernels:
             return contains_in_cells(tweets, self.meme)
         meme = self.meme

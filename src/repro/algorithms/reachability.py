@@ -81,8 +81,10 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
     def _existence(self, ctx: ComputeContext) -> tuple[np.ndarray, np.ndarray]:
         sg = ctx.subgraph
         if self.exists_attr in ctx.instance.template.edge_schema:
-            col = ctx.instance.edge_column(self.exists_attr).astype(bool)
-            return col[sg.edge_index], col[sg.remote.edge_index]
+            return (
+                ctx.edge_values(self.exists_attr).astype(bool),
+                ctx.remote_edge_values(self.exists_attr).astype(bool),
+            )
         return (
             np.ones(len(sg.edge_index), dtype=bool),
             np.ones(len(sg.remote.edge_index), dtype=bool),
@@ -157,8 +159,7 @@ class TemporalReachabilityComputation(TimeSeriesComputation):
         # template neighbor that is unreached (whatever today's existence
         # says, it may exist tomorrow) or any remote edge.
         border = np.zeros(sg.num_vertices, dtype=bool)
-        if len(sg.indices):
-            np.logical_or.at(border, st["slot_src"], ~reached[sg.indices])
+        border[st["slot_src"][~reached[sg.indices]]] = True
         st["roots"] = np.nonzero(reached & (border | st["has_remote"]))[0]
         if bool(reached.all()):
             ctx.vote_to_halt_timestep()

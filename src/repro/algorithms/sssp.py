@@ -91,8 +91,7 @@ class SSSPComputation(TimeSeriesComputation):
                 np.ones(len(sg.edge_index)),
                 np.ones(len(sg.remote.edge_index)),
             )
-        col = ctx.instance.edge_column(self.weight_attr)
-        return col[sg.edge_index], col[sg.remote.edge_index]
+        return ctx.edge_values(self.weight_attr), ctx.remote_edge_values(self.weight_attr)
 
     def _kernel_relax(self, ctx: ComputeContext, seeds: np.ndarray) -> None:
         """Settle the whole frontier at once; ship boundary relaxations."""

@@ -117,24 +117,24 @@ class InstanceStatisticsComputation(TimeSeriesComputation):
     def _local_values(self, ctx: ComputeContext) -> np.ndarray:
         sg = ctx.subgraph
         if self.on == "vertices":
-            return ctx.instance.vertex_column(self.attr)[sg.vertices]
+            return ctx.vertex_values(self.attr)
         # Edge rows: each subgraph owns its local edges exactly once per
         # undirected edge (edge_index repeats per direction — deduplicate)
         # plus its outgoing remote edges.  On undirected templates a remote
         # edge appears once on each side; to count each template edge once
         # we keep only remote rows where this side holds the edge's source.
-        local = np.unique(sg.edge_index)
+        # Values are taken in template edge order, one per distinct edge.
         remote = sg.remote
-        if len(remote):
-            src_side = (
-                ctx.instance.template.edge_src[remote.edge_index]
-                == sg.vertices[remote.src_local]
-            )
-            rows = np.unique(remote.edge_index[src_side])
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        all_rows = np.unique(np.concatenate([local, rows]))
-        return ctx.instance.edge_column(self.attr)[all_rows]
+        src_side = (
+            ctx.instance.template.edge_src[remote.edge_index]
+            == sg.vertices[remote.src_local]
+        )
+        edges = np.concatenate([sg.edge_index, remote.edge_index[src_side]])
+        values = np.concatenate(
+            [ctx.edge_values(self.attr), ctx.remote_edge_values(self.attr)[src_side]]
+        )
+        _, first = np.unique(edges, return_index=True)
+        return values[first]
 
     def compute(self, ctx: ComputeContext) -> None:
         if ctx.superstep == 0:

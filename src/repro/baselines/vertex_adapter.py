@@ -78,7 +78,8 @@ class AdaptedVertexContext:
         edges = self._ctx.instance.template.out_edges(self.vertex)
         if self._adapter.weight_attr is None:
             return np.ones(len(edges))
-        return self._ctx.instance.edge_column(self._adapter.weight_attr)[edges]
+        ids, weights = self._ctx.state["edge_weights"]
+        return weights[np.searchsorted(ids, edges)]
 
     def send(self, vertex: int, payload: Any) -> None:
         self._adapter._route(self._ctx, int(vertex), payload)
@@ -127,6 +128,17 @@ class VertexCentricAdapter(TimeSeriesComputation):
             ctx.send_to_subgraph(dst_sg, bundle)
         ctx.state["remote_outbox"] = {}
 
+    def _edge_weights(self, ctx: ComputeContext) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted template edge ids, weights) of every edge leaving the
+        subgraph's vertices — local and remote — in the current instance."""
+        sg = ctx.subgraph
+        edges = np.concatenate([sg.edge_index, sg.remote.edge_index])
+        weights = np.concatenate(
+            [ctx.edge_values(self.weight_attr), ctx.remote_edge_values(self.weight_attr)]
+        )
+        ids, first = np.unique(edges, return_index=True)
+        return ids, weights[first]
+
     # -- TI-BSP hooks ------------------------------------------------------------------
 
     def compute(self, ctx: ComputeContext) -> None:
@@ -138,6 +150,8 @@ class VertexCentricAdapter(TimeSeriesComputation):
             st["halted"] = np.zeros(sg.num_vertices, dtype=bool)
             st["local_inbox"] = {}
             st["remote_outbox"] = {}
+            if self.weight_attr is not None:
+                st["edge_weights"] = self._edge_weights(ctx)
 
         # Gather this vertex superstep's inbox: carried-over local messages
         # plus remote bundles delivered by the TI-BSP layer.

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..graph.instance import GraphInstance
+import numpy as np
+
+from ..graph.instance import InstanceView
 from ..graph.subgraph import Subgraph
 from .messages import Message, MessageKind, SendBuffer
 from .patterns import Pattern
@@ -84,7 +86,7 @@ class ComputeContext(_BaseContext):
     def __init__(
         self,
         subgraph: Subgraph,
-        instance: GraphInstance,
+        instance: InstanceView,
         timestep: int,
         superstep: int,
         messages: Sequence[Message],
@@ -119,6 +121,20 @@ class ComputeContext(_BaseContext):
     def timestamp(self) -> float:
         """Absolute time of the current instance."""
         return self.t0 + self.timestep * self.delta
+
+    # -- attribute reads (this subgraph's rows of the current instance) ------------
+
+    def vertex_values(self, name: str) -> np.ndarray:
+        """Vertex attribute ``name``, aligned with ``subgraph.vertices``."""
+        return self.instance.vertex_values(self.subgraph, name)
+
+    def edge_values(self, name: str) -> np.ndarray:
+        """Edge attribute ``name``, aligned with the CSR slots ``subgraph.edge_index``."""
+        return self.instance.edge_values(self.subgraph, name)
+
+    def remote_edge_values(self, name: str) -> np.ndarray:
+        """Edge attribute ``name``, aligned with the rows of ``subgraph.remote``."""
+        return self.instance.remote_edge_values(self.subgraph, name)
 
     # -- messaging constructs ------------------------------------------------------
 
@@ -210,7 +226,7 @@ class EndOfTimestepContext(_BaseContext):
     def __init__(
         self,
         subgraph: Subgraph,
-        instance: GraphInstance,
+        instance: InstanceView,
         timestep: int,
         state: dict,
         pattern: Pattern,
@@ -230,6 +246,9 @@ class EndOfTimestepContext(_BaseContext):
     def timestamp(self) -> float:
         return self.t0 + self.timestep * self.delta
 
+    vertex_values = ComputeContext.vertex_values
+    edge_values = ComputeContext.edge_values
+    remote_edge_values = ComputeContext.remote_edge_values
     send_to_next_timestep = ComputeContext.send_to_next_timestep
     send_to_subgraph_in_next_timestep = ComputeContext.send_to_subgraph_in_next_timestep
     send_to_merge = ComputeContext.send_to_merge

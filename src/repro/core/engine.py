@@ -1133,8 +1133,8 @@ class TIBSPEngine:
         if self.sources is not None and not all(
             isinstance(s, CollectionInstanceSource) for s in self.sources
         ):
-            # Partitioned sources (GoFS views) only hold their own rows; a
-            # migrated subgraph would silently read schema defaults.
+            # Partitioned sources (GoFS views) only serve their own
+            # subgraphs; a migrated subgraph's attribute reads would raise.
             raise NotImplementedError(
                 "dynamic rebalancing requires whole-instance sources "
                 "(shared collection), not partitioned GoFS views"

@@ -70,4 +70,4 @@ class PeriodicExistencePopulator:
         return (timestep + self.phase) % self.period < self.duty_len
 
     def __call__(self, instance: GraphInstance, timestep: int) -> None:
-        instance.edge_values.set_column(self.attr, self.exists_at(timestep))
+        instance.edge_table.set_column(self.attr, self.exists_at(timestep))

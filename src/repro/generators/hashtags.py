@@ -46,7 +46,7 @@ class BackgroundHashtagPopulator:
     def __call__(self, instance: GraphInstance, timestep: int) -> None:
         rng = np.random.default_rng(self.seed + timestep)
         n = instance.template.num_vertices
-        tweets = instance.vertex_values.column(self.attr)
+        tweets = instance.vertex_table.column(self.attr)
         counts = rng.poisson(self.rate, n)
         chatty = np.nonzero(counts)[0]
         if not len(chatty):
@@ -78,4 +78,4 @@ class TrafficPopulator:
     def __call__(self, instance: GraphInstance, timestep: int) -> None:
         rng = np.random.default_rng(self.seed + timestep)
         n = instance.template.num_vertices
-        instance.vertex_values.set_column(self.attr, rng.uniform(self.low, self.high, n))
+        instance.vertex_table.set_column(self.attr, rng.uniform(self.low, self.high, n))

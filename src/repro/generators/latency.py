@@ -59,7 +59,7 @@ class UniformLatencyPopulator:
     def __call__(self, instance: GraphInstance, timestep: int) -> None:
         rng = np.random.default_rng(self.seed + timestep)
         m = instance.template.num_edges
-        instance.edge_values.set_column(self.attr, rng.uniform(self.low, self.high, m))
+        instance.edge_table.set_column(self.attr, rng.uniform(self.low, self.high, m))
 
 
 def road_latency_collection(

@@ -171,7 +171,7 @@ class SIRTweetPopulator:
             vs_list = vs.tolist()
             for lo, hi in zip(starts, starts[1:]):
                 tweets[vs_list[lo]] = tuple(ms_list[lo:hi])
-        instance.vertex_values.set_column(self.attr, tweets)
+        instance.vertex_table.set_column(self.attr, tweets)
 
 
 def tweet_collection(

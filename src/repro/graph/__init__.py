@@ -14,7 +14,7 @@ from .collection import (
     ListInstanceProvider,
     TimeSeriesGraphCollection,
 )
-from .instance import IS_EXISTS, GraphInstance
+from .instance import IS_EXISTS, GraphInstance, InstanceView
 from .subgraph import RemoteEdges, Subgraph
 from .template import GraphTemplate
 from .validation import (
@@ -36,6 +36,7 @@ __all__ = [
     "TimeSeriesGraphCollection",
     "IS_EXISTS",
     "GraphInstance",
+    "InstanceView",
     "RemoteEdges",
     "Subgraph",
     "GraphTemplate",

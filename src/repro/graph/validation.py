@@ -60,17 +60,17 @@ def validate_instance(instance: GraphInstance, template: GraphTemplate | None = 
     tpl = template or instance.template
     if template is not None and instance.template is not tpl and not instance.template.equals(tpl):
         raise ValidationError("instance belongs to a different template")
-    if instance.vertex_values.n != tpl.num_vertices:
+    if instance.vertex_table.n != tpl.num_vertices:
         raise ValidationError(
-            f"instance has {instance.vertex_values.n} vertex rows, template has {tpl.num_vertices}"
+            f"instance has {instance.vertex_table.n} vertex rows, template has {tpl.num_vertices}"
         )
-    if instance.edge_values.n != tpl.num_edges:
+    if instance.edge_table.n != tpl.num_edges:
         raise ValidationError(
-            f"instance has {instance.edge_values.n} edge rows, template has {tpl.num_edges}"
+            f"instance has {instance.edge_table.n} edge rows, template has {tpl.num_edges}"
         )
     for table, schema in (
-        (instance.vertex_values, tpl.vertex_schema),
-        (instance.edge_values, tpl.edge_schema),
+        (instance.vertex_table, tpl.vertex_schema),
+        (instance.edge_table, tpl.edge_schema),
     ):
         for name in table.materialized_names:
             if name not in schema:

@@ -38,7 +38,7 @@ from ..core.context import ComputeContext, EndOfTimestepContext, MergeContext
 from ..core.messages import Message, MessageFrame, MessageKind, SendBuffer
 from ..core.patterns import Pattern
 from ..graph.collection import TimeSeriesGraphCollection
-from ..graph.instance import GraphInstance
+from ..graph.instance import GraphInstance, InstanceView
 from ..observability import NULL_SPAN, TracePacket, Tracer
 from ..partition.base import Partition
 from .cost import CostModel
@@ -49,8 +49,11 @@ __all__ = ["InstanceSource", "CollectionInstanceSource", "HostStepResult", "Comp
 class InstanceSource(Protocol):
     """Per-host access to graph instances (in-memory, generated, or GoFS).
 
-    Only ``instance`` and ``resident_bytes`` are required.  Sources may also
-    implement optional hooks, discovered with ``getattr`` by the host:
+    Only ``instance`` and ``resident_bytes`` are required.  ``instance``
+    returns any :class:`~repro.graph.instance.InstanceView`: a whole-graph
+    :class:`GraphInstance`, or a partition-local view that answers only for
+    the host's own subgraphs.  Sources may also implement optional hooks,
+    discovered with ``getattr`` by the host:
 
     * ``attach_tracer(tracer)`` — narrate I/O on the host's trace track;
     * ``prefetch(timestep) -> bool`` — start loading ``timestep``'s data in
@@ -64,7 +67,7 @@ class InstanceSource(Protocol):
       — recovery: drop in-flight prefetches and rolled-back load evidence.
     """
 
-    def instance(self, timestep: int) -> GraphInstance: ...
+    def instance(self, timestep: int) -> InstanceView: ...
 
     def resident_bytes(self) -> int: ...
 
@@ -83,8 +86,8 @@ class CollectionInstanceSource:
     def resident_bytes(self) -> int:
         if self._last is None:
             return 0
-        v = self._last.vertex_values
-        e = self._last.edge_values
+        v = self._last.vertex_table
+        e = self._last.edge_table
         return v.approx_nbytes() + e.approx_nbytes()
 
 
@@ -227,7 +230,7 @@ class ComputeHost:
         self._local_inbox: dict[int, list[Message]] = {}
         #: Host-local temporal deliveries for the *next* timestep.
         self._temporal_inbox: dict[int, list[Message]] = {}
-        self._instance: GraphInstance | None = None
+        self._instance: InstanceView | None = None
 
     # -- message plane -----------------------------------------------------------------
 

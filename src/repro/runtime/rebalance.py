@@ -18,8 +18,8 @@ Constraints:
 
 * only supported on in-process clusters (``LocalCluster``) whose hosts read
   *full* instances (shared collection sources) — GoFS partition views only
-  hold their own partition's slices, so a migrated subgraph would see
-  default attribute values;
+  serve their own partition's subgraphs, so a migrated subgraph's reads
+  would raise;
 * the engine updates the shared subgraph→partition routing array, so
   message routing follows the move immediately.
 """

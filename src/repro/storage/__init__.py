@@ -11,6 +11,7 @@ from .gofs import (
     DEFAULT_PREFETCH_LEAD,
     GoFS,
     GoFSPartitionView,
+    PartitionInstance,
 )
 from .serde import load_template, save_template, schema_from_bytes, schema_to_bytes
 from .slices import SliceKey, bin_rows, read_slice, slice_filename, slice_nbytes, write_slice
@@ -21,6 +22,7 @@ __all__ = [
     "DEFAULT_PREFETCH_LEAD",
     "GoFS",
     "GoFSPartitionView",
+    "PartitionInstance",
     "load_template",
     "save_template",
     "schema_from_bytes",

@@ -11,8 +11,9 @@ paper's temporal packing (default 10) and subgraph binning (default 5).
 Each host then reads through a :class:`GoFSPartitionView` — an
 :class:`~repro.runtime.host.InstanceSource` that caches temporal packs,
 so crossing a pack boundary triggers a real, measurable load spike at
-every 10th timestep (Fig 6) while intra-pack accesses are cheap scatter
-operations.
+every 10th timestep (Fig 6) while intra-pack accesses are cheap: an
+instance is a :class:`PartitionInstance` over the cached pack's row-``t``
+views, gathering each subgraph's own rows on demand.
 
 With ``prefetch=True`` a view hides that spike: a single background thread
 starts reading pack *k+1* while compute is still inside pack *k* (the
@@ -27,10 +28,11 @@ import json
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ..graph.instance import GraphInstance
+from ..graph.subgraph import Subgraph
 from ..graph.template import GraphTemplate
 from ..graph.collection import TimeSeriesGraphCollection
 from ..partition.base import PartitionedGraph
@@ -40,6 +42,7 @@ from .slices import SliceKey, bin_rows, read_slice, slice_nbytes, write_slice
 __all__ = [
     "GoFS",
     "GoFSPartitionView",
+    "PartitionInstance",
     "DEFAULT_PACKING",
     "DEFAULT_BINNING",
     "DEFAULT_PREFETCH_LEAD",
@@ -82,15 +85,17 @@ class GoFS:
             sgids = sorted(sg.subgraph_id for sg in part.subgraphs)
             bins.append([sgids[i : i + binning] for i in range(0, len(sgids), binning)])
 
+        rows = [
+            [bin_rows([pg.subgraphs[s] for s in sgids]) for sgids in part_bins]
+            for part_bins in bins
+        ]
         T = len(collection)
         num_packs = (T + packing - 1) // packing
         for k in range(num_packs):
             lo, hi = k * packing, min((k + 1) * packing, T)
             instances = [collection.instance(t) for t in range(lo, hi)]
-            for p, part_bins in enumerate(bins):
-                for b, sgids in enumerate(part_bins):
-                    subgraphs = [pg.subgraphs[s] for s in sgids]
-                    verts, edges = bin_rows(subgraphs)
+            for p, part_rows in enumerate(rows):
+                for b, (verts, edges) in enumerate(part_rows):
                     write_slice(root, SliceKey(p, b, k), verts, edges, instances)
 
         manifest = {
@@ -182,10 +187,11 @@ class GoFS:
 class GoFSPartitionView:
     """Instance source reading one partition's slices, pack by pack.
 
-    Only the rows belonging to this partition's subgraph bins are populated
-    in the returned instances; foreign rows keep schema defaults — hosts
-    never read them.  Pickles cheaply (path + partition id + settings), so
-    process workers each open their own view.
+    :meth:`instance` returns a partition-local :class:`PartitionInstance`
+    that serves this partition's subgraphs straight from the pack's slice
+    rows; nothing of whole-graph size is allocated per timestep.  Pickles
+    cheaply (path + partition id + settings), so process workers each open
+    their own view.
 
     Parameters
     ----------
@@ -260,6 +266,14 @@ class GoFSPartitionView:
         self.manifest = manifest
         self.template = GoFS.load_template(self.root) if template is None else template
         self._num_bins = len(manifest["bins"][self.partition_id])
+        #: Subgraph id -> bin index within this partition.
+        self._bin_of = {
+            sgid: b
+            for b, sgids in enumerate(manifest["bins"][self.partition_id])
+            for sgid in sgids
+        }
+        #: Subgraph id -> (subgraph, its positions in its bin's rows).
+        self._sg_positions: dict[int, tuple[Subgraph, _Positions]] = {}
         # Unpickling gate for slice reads: only schemas with object columns
         # ever need it; numeric-only stores stay strict.
         self._allow_objects = any(
@@ -554,7 +568,7 @@ class GoFSPartitionView:
         self.load_events = [(t, s) for (t, s) in self.load_events if t < cutoff]
         return before - len(self.load_events)
 
-    def reload_instance(self, timestep: int) -> GraphInstance:
+    def reload_instance(self, timestep: int) -> "PartitionInstance":
         """Instance load for checkpoint-restore replay.
 
         The I/O genuinely happens when the pack is no longer cached, but it
@@ -569,7 +583,7 @@ class GoFSPartitionView:
 
     # -- InstanceSource protocol -------------------------------------------------------
 
-    def instance(self, timestep: int) -> GraphInstance:
+    def instance(self, timestep: int) -> "PartitionInstance":
         T = self.manifest["num_timesteps"]
         if not 0 <= timestep < T:
             raise IndexError(f"timestep {timestep} out of range [0, {T})")
@@ -578,18 +592,49 @@ class GoFSPartitionView:
         pack_data = self._get_pack(pack, timestep)
         if self.prefetch_enabled and row >= packing - self.prefetch_lead:
             self.prefetch((pack + 1) * packing)  # range-checked inside
-        inst = GraphInstance(
-            self.template, self.manifest["t0"] + timestep * self.manifest["delta"]
+        return PartitionInstance(
+            self,
+            self.manifest["t0"] + timestep * self.manifest["delta"],
+            pack_data,
+            row,
         )
-        for data in pack_data:
-            v_rows, e_rows = data["vertex_rows"], data["edge_rows"]
-            for spec in self.template.vertex_schema:
-                if len(v_rows):
-                    inst.vertex_values.column(spec.name)[v_rows] = data[f"v__{spec.name}"][row]
-            for spec in self.template.edge_schema:
-                if len(e_rows):
-                    inst.edge_values.column(spec.name)[e_rows] = data[f"e__{spec.name}"][row]
-        return inst
+
+    def _positions(
+        self, sg: Subgraph, pack_data: list[dict[str, np.ndarray]]
+    ) -> "_Positions":
+        """``sg``'s bin and its positions in that bin's vertex/edge rows.
+
+        Computed once per subgraph with ``searchsorted`` and cached: every
+        pack of a bin stores the same rows.  A subgraph whose rows are not
+        all in this partition's bin raises ``ValueError`` rather than
+        reading another element's values.
+        """
+        cached = self._sg_positions.get(sg.subgraph_id)
+        # Another Subgraph object under the same id (another partitioning)
+        # is checked afresh, never served this one's positions.
+        if cached is not None and cached[0] is sg:
+            return cached[1]
+        b = self._bin_of.get(sg.subgraph_id)
+        if b is None:
+            raise ValueError(
+                f"subgraph {sg.subgraph_id} is not stored in partition "
+                f"{self.partition_id} of GoFS store {self.root}"
+            )
+        data = pack_data[b]
+        found = _Positions(
+            b,
+            _row_positions(data["vertex_rows"], sg.vertices),
+            _row_positions(data["edge_rows"], sg.edge_index),
+            _row_positions(data["edge_rows"], sg.remote.edge_index),
+        )
+        if found.vertex is None or found.edge is None or found.remote is None:
+            raise ValueError(
+                f"subgraph {sg.subgraph_id} does not match bin {b} of partition "
+                f"{self.partition_id} in GoFS store {self.root} (store written "
+                "from a different partitioning?)"
+            )
+        self._sg_positions[sg.subgraph_id] = (sg, found)
+        return found
 
     def resident_bytes(self) -> int:
         """Bytes of all cached packs (GC pause model input).
@@ -609,3 +654,77 @@ class GoFSPartitionView:
             "prefetch_misses": self.prefetch_misses,
             "cached_packs": len(self._cache),
         }
+
+
+class _Positions(NamedTuple):
+    """A subgraph's bin and its positions in that bin's slice rows."""
+
+    bin: int
+    vertex: np.ndarray  #: aligned with ``sg.vertices``
+    edge: np.ndarray  #: aligned with ``sg.edge_index``
+    remote: np.ndarray  #: aligned with ``sg.remote`` rows
+
+
+def _row_positions(rows: np.ndarray, keys: np.ndarray) -> np.ndarray | None:
+    """Positions of ``keys`` in the sorted ``rows``; None if any is absent."""
+    pos = np.searchsorted(rows, keys)
+    if len(keys) and (
+        pos.max() >= len(rows) or not np.array_equal(rows[pos], keys)
+    ):
+        return None
+    return pos
+
+
+class PartitionInstance:
+    """One timestep of one partition, served from its pack's slice rows.
+
+    Implements :class:`~repro.graph.instance.InstanceView` over the
+    per-bin row-``t`` views of the cached pack: zero-copy for the pack,
+    one gather of the subgraph's own rows per accessor call, and nothing
+    of length ``|V̂|`` or ``|Ê|``.  It answers only for subgraphs stored in
+    its partition.  An attribute the store never populated reads as its
+    schema default.
+    """
+
+    __slots__ = ("template", "timestamp", "_view", "_pack", "_row")
+
+    def __init__(
+        self,
+        view: GoFSPartitionView,
+        timestamp: float,
+        pack_data: list[dict[str, np.ndarray]],
+        row: int,
+    ) -> None:
+        self.template = view.template
+        self.timestamp = float(timestamp)
+        self._view = view
+        self._pack = pack_data
+        self._row = row
+
+    def _read(self, schema, prefix: str, name: str, b: int, rows: np.ndarray) -> np.ndarray:
+        spec = schema[name]  # KeyError for attributes outside the schema
+        col = self._pack[b].get(f"{prefix}__{name}")
+        if col is None:
+            return spec.allocate(len(rows))
+        return np.take(col[self._row], rows)
+
+    def vertex_values(self, sg: Subgraph, name: str) -> np.ndarray:
+        """``name`` on ``sg``'s vertices, aligned with ``sg.vertices``."""
+        pos = self._view._positions(sg, self._pack)
+        return self._read(self.template.vertex_schema, "v", name, pos.bin, pos.vertex)
+
+    def edge_values(self, sg: Subgraph, name: str) -> np.ndarray:
+        """``name`` on ``sg``'s local CSR slots, aligned with ``sg.edge_index``."""
+        pos = self._view._positions(sg, self._pack)
+        return self._read(self.template.edge_schema, "e", name, pos.bin, pos.edge)
+
+    def remote_edge_values(self, sg: Subgraph, name: str) -> np.ndarray:
+        """``name`` on ``sg``'s outgoing remote edges, aligned with ``sg.remote``."""
+        pos = self._view._positions(sg, self._pack)
+        return self._read(self.template.edge_schema, "e", name, pos.bin, pos.remote)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"PartitionInstance(t={self.timestamp}, "
+            f"partition={self._view.partition_id})"
+        )

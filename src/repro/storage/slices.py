@@ -10,7 +10,8 @@ where rows are the bin's vertices (for vertex attributes) or the edges
 touched by the bin's subgraphs — local edges plus outgoing remote edges (for
 edge attributes).  Grouping 10 instances × 5 subgraphs per file is what lets
 GoFS amortize disk access and produces Fig 6's every-10th-timestep load
-bumps.
+bumps.  Only attributes that some instance of the pack populated are
+stored; a column absent from a slice reads back as its schema default.
 
 Each slice is one ``.gsl`` file in the zero-copy GSL2 container
 (:func:`repro.storage.serde.pack_arrays`): framed header plus contiguous
@@ -74,14 +75,39 @@ def bin_rows(subgraphs: list[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
     return verts, edges
 
 
+def _populated_names(instances: list[GraphInstance]) -> tuple[list[str], list[str]]:
+    """(vertex, edge) attribute names some instance of a pack populated:
+    the union of :attr:`AttributeTable.materialized_names`, in schema order."""
+    tpl = instances[0].template
+    v_names = {n for inst in instances for n in inst.vertex_table.materialized_names}
+    e_names = {n for inst in instances for n in inst.edge_table.materialized_names}
+    return (
+        [n for n in tpl.vertex_schema.names if n in v_names],
+        [n for n in tpl.edge_schema.names if n in e_names],
+    )
+
+
+def _fill_matrix(schema, tables, name: str, rows: np.ndarray) -> np.ndarray:
+    """One ``(pack_len, rows)`` matrix, filled row-by-row in place (no
+    ``np.stack`` double-copy).  An instance that never populated ``name``
+    contributes a row of the schema default."""
+    spec = schema[name]
+    mat = np.empty((len(tables), len(rows)), dtype=spec.dtype)
+    for i, table in enumerate(tables):
+        if name in table.materialized_names:
+            np.take(table.column(name), rows, out=mat[i])
+        else:
+            mat[i].fill(spec.fill_value())
+    return mat
+
+
 def _pack_matrices(
     vertex_rows: np.ndarray,
     edge_rows: np.ndarray,
     instances: list[GraphInstance],
 ) -> dict[str, np.ndarray]:
-    """Assemble slice arrays with one preallocated ``(pack_len, rows)``
-    matrix per attribute, filled row-by-row in place (no ``np.stack``
-    double-copy)."""
+    """Assemble slice arrays: one ``(pack_len, rows)`` matrix per populated
+    attribute."""
     arrays: dict[str, np.ndarray] = {
         "vertex_rows": vertex_rows,
         "edge_rows": edge_rows,
@@ -90,17 +116,13 @@ def _pack_matrices(
     if not instances:
         return arrays
     tpl = instances[0].template
-    pack_len = len(instances)
-    for spec in tpl.vertex_schema:
-        mat = np.empty((pack_len, len(vertex_rows)), dtype=spec.dtype)
-        for i, inst in enumerate(instances):
-            np.take(inst.vertex_values.column(spec.name), vertex_rows, out=mat[i])
-        arrays[f"v__{spec.name}"] = mat
-    for spec in tpl.edge_schema:
-        mat = np.empty((pack_len, len(edge_rows)), dtype=spec.dtype)
-        for i, inst in enumerate(instances):
-            np.take(inst.edge_values.column(spec.name), edge_rows, out=mat[i])
-        arrays[f"e__{spec.name}"] = mat
+    v_names, e_names = _populated_names(instances)
+    v_tables = [inst.vertex_table for inst in instances]
+    e_tables = [inst.edge_table for inst in instances]
+    for name in v_names:
+        arrays[f"v__{name}"] = _fill_matrix(tpl.vertex_schema, v_tables, name, vertex_rows)
+    for name in e_names:
+        arrays[f"e__{name}"] = _fill_matrix(tpl.edge_schema, e_tables, name, edge_rows)
     return arrays
 
 
@@ -111,7 +133,7 @@ def write_slice(
     edge_rows: np.ndarray,
     instances: list[GraphInstance],
 ) -> Path:
-    """Write one slice: the given rows of every schema attribute × instances.
+    """Write one slice: the given rows of every populated attribute × instances.
 
     Columns are packed into ``(pack_len, rows)`` matrices per attribute so a
     later read is one contiguous load per attribute.

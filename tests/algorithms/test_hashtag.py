@@ -68,7 +68,7 @@ class TestAggregation:
         def pop(inst, t):
             tw = np.empty(4, dtype=object)
             tw[:] = [("x", "x"), ("x",), (), ()]
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_table.set_column("tweets", tw)
 
         coll = build_collection(tpl, 2, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())

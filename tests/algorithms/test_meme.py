@@ -37,7 +37,7 @@ def random_tweet_case(seed, n=35, m=70, T=6, k=3, meme_prob=0.25):
         tw = np.empty(n, dtype=object)
         for v in range(n):
             tw[v] = (0,) if r.random() < meme_prob else ()
-        inst.vertex_values.set_column("tweets", tw)
+        inst.vertex_table.set_column("tweets", tw)
 
     coll = build_collection(tpl, T, pop, delta=1.0)
     pg = partition_graph(tpl, k, HashPartitioner(seed=seed))
@@ -59,7 +59,7 @@ class TestHandCrafted:
             tw = np.empty(4, dtype=object)
             for v in range(4):
                 tw[v] = ("m",) if t in schedule[v] else ()
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_table.set_column("tweets", tw)
 
         coll = build_collection(tpl, 4, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
@@ -77,7 +77,7 @@ class TestHandCrafted:
             tw[1] = ("m",) if t >= 1 else ()
             tw[2] = ()
             tw[3] = ("m",) if t >= 1 else ()  # has meme, but no colored neighbor
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_table.set_column("tweets", tw)
 
         coll = build_collection(tpl, 3, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
@@ -98,7 +98,7 @@ class TestHandCrafted:
                 tw[1] = ("m",)
             if t == 3:
                 tw[2] = ("m",)
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_table.set_column("tweets", tw)
 
         coll = build_collection(tpl, 4, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
@@ -114,7 +114,7 @@ class TestHandCrafted:
         def pop(inst, t):
             tw = np.empty(4, dtype=object)
             tw[:] = [("m",)] * 4 if t == 0 else [()] * 4
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_table.set_column("tweets", tw)
 
         coll = build_collection(tpl, 2, pop)
         pg = partition_graph(tpl, 3, HashPartitioner())

@@ -45,7 +45,7 @@ class TestTemporalReachability:
 
         def pop(inst, t):
             exists = np.array([True, t == 2, True])  # 1-2 bridge closed except t=2
-            inst.edge_values.set_column("is_exists", exists)
+            inst.edge_table.set_column("is_exists", exists)
 
         coll = build_collection(tpl, 4, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
@@ -85,7 +85,7 @@ class TestTemporalReachability:
         tpl = evolving_template(4, [0, 1, 2], [1, 2, 3])
 
         def pop(inst, t):
-            inst.edge_values.set_column("is_exists", np.ones(3, dtype=bool))
+            inst.edge_table.set_column("is_exists", np.ones(3, dtype=bool))
 
         coll = build_collection(tpl, 20, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())
@@ -168,7 +168,7 @@ class TestCommunityEvolution:
         tpl = evolving_template(20, raw.edge_src, raw.edge_dst)
 
         def pop(inst, t):
-            inst.edge_values.set_column("is_exists", np.ones(tpl.num_edges, dtype=bool))
+            inst.edge_table.set_column("is_exists", np.ones(tpl.num_edges, dtype=bool))
 
         coll = build_collection(tpl, 4, pop)
         pg = partition_graph(tpl, 2, HashPartitioner())

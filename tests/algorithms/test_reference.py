@@ -79,7 +79,7 @@ class TestTimeExpandedDijkstra:
         weights = np.random.default_rng(1).uniform(0.5, 2.0, tpl.num_edges)
 
         def pop(inst, t):
-            inst.edge_values.set_column("latency", weights)
+            inst.edge_table.set_column("latency", weights)
 
         coll = build_collection(tpl, 1, pop, delta=1000.0)
         got = ref.time_expanded_dijkstra(coll, 0)
@@ -99,7 +99,7 @@ class TestTimeExpandedDijkstra:
         lat = {0: [100.0], 1: [2.0]}
 
         def pop(inst, t):
-            inst.edge_values.set_column("latency", np.asarray(lat[t]))
+            inst.edge_table.set_column("latency", np.asarray(lat[t]))
 
         coll = build_collection(tpl, 2, pop, delta=5.0)
         got = ref.time_expanded_dijkstra(coll, 0)
@@ -111,7 +111,7 @@ class TestTimeExpandedDijkstra:
 
         def pop(inst, t):
             r = np.random.default_rng(50 + t)
-            inst.edge_values.set_column(
+            inst.edge_table.set_column(
                 "latency", r.uniform(1.0, 8.0, tpl.num_edges)
             )
 
@@ -137,7 +137,7 @@ class TestMemeAndHashtagRefs:
         def pop(inst, t):
             tw = np.empty(4, dtype=object)
             tw[:] = [(1, 1, 2), (2,), (), (1,)] if t == 0 else [(), (), (), ()]
-            inst.vertex_values.set_column("tweets", tw)
+            inst.vertex_table.set_column("tweets", tw)
 
         coll = build_collection(tpl, 2, pop)
         assert np.array_equal(ref.hashtag_count_series(coll, 1), [3, 0])

@@ -52,7 +52,7 @@ class TestPaperWorkedExample:
         }
 
         def pop(inst, t):
-            inst.edge_values.set_column("latency", np.asarray(lat[t]))
+            inst.edge_table.set_column("latency", np.asarray(lat[t]))
 
         self.coll = build_collection(self.tpl, 3, pop, delta=5.0)
 
@@ -97,7 +97,7 @@ def _random_case(seed, n=30, m=55, T=5, k=3):
 
     def pop(inst, t, _seed=seed):
         r = np.random.default_rng(10_000 + _seed * 100 + t)
-        inst.edge_values.set_column(
+        inst.edge_table.set_column(
             "latency", r.uniform(0.5, 12.0, inst.template.num_edges)
         )
 
@@ -145,7 +145,7 @@ class TestReferenceEquivalence:
 
         def pop(inst, t):
             r = np.random.default_rng(42 + t)
-            inst.edge_values.set_column("latency", r.uniform(0.5, 12.0, tpl.num_edges))
+            inst.edge_table.set_column("latency", r.uniform(0.5, 12.0, tpl.num_edges))
 
         coll = build_collection(tpl, 5, pop, delta=5.0)
         pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
@@ -170,7 +170,7 @@ class TestBehaviour:
         tpl = latency_template(n, src, dst)
 
         def pop(inst, t):
-            inst.edge_values.set_column("latency", np.full(tpl.num_edges, 0.5))
+            inst.edge_table.set_column("latency", np.full(tpl.num_edges, 0.5))
 
         coll = build_collection(tpl, 20, pop, delta=5.0)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
@@ -182,7 +182,7 @@ class TestBehaviour:
         tpl = latency_template(4, [0], [1])  # vertices 2, 3 isolated
 
         def pop(inst, t):
-            inst.edge_values.set_column("latency", np.array([1.0]))
+            inst.edge_table.set_column("latency", np.array([1.0]))
 
         coll = build_collection(tpl, 3, pop, delta=5.0)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))
@@ -200,7 +200,7 @@ class TestBehaviour:
 
         def pop(inst, t):
             r = np.random.default_rng(500 + t)
-            inst.edge_values.set_column("latency", r.uniform(0.2, 4.5, tpl.num_edges))
+            inst.edge_table.set_column("latency", r.uniform(0.2, 4.5, tpl.num_edges))
 
         coll = build_collection(tpl, 12, pop, delta=5.0)
         pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
@@ -218,7 +218,7 @@ class TestBehaviour:
         tpl = latency_template(4, [0], [1])
 
         def pop(inst, t):
-            inst.edge_values.set_column("latency", np.array([1.0]))
+            inst.edge_table.set_column("latency", np.array([1.0]))
 
         coll = build_collection(tpl, 30, pop, delta=5.0)
         pg = partition_graph(tpl, 2, HashPartitioner(seed=1))

@@ -82,13 +82,13 @@ def populate_random(seed: int):
         rng = np.random.default_rng(seed + t)
         n = inst.template.num_vertices
         m = inst.template.num_edges
-        inst.edge_values.set_column("latency", rng.uniform(0.5, 8.0, m))
-        inst.vertex_values.set_column("traffic", rng.uniform(0.0, 100.0, n))
+        inst.edge_table.set_column("latency", rng.uniform(0.5, 8.0, m))
+        inst.vertex_table.set_column("traffic", rng.uniform(0.0, 100.0, n))
         tweets = np.empty(n, dtype=object)
         for v in range(n):
             k = int(rng.integers(0, 3))
             tweets[v] = tuple(int(x) for x in rng.integers(0, 4, k))
-        inst.vertex_values.set_column("tweets", tweets)
+        inst.vertex_table.set_column("tweets", tweets)
 
     return _pop
 

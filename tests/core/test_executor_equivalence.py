@@ -11,11 +11,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.algorithms.hashtag import HashtagAggregationComputation
-from repro.algorithms.meme import MemeTrackingComputation
-from repro.algorithms.tdsp import TDSPComputation
+from repro.algorithms import (
+    CommunityEvolutionComputation,
+    HashtagAggregationComputation,
+    InstanceStatisticsComputation,
+    MemeTrackingComputation,
+    SSSPComputation,
+    TDSPComputation,
+    TemporalReachabilityComputation,
+    TopNComputation,
+)
+from repro.baselines import VertexCentricAdapter, VertexSSSP
 from repro.core import EngineConfig, run_application
-from repro.graph import build_collection
+from repro.graph import IS_EXISTS, AttributeSpec, build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.runtime import CollectionInstanceSource
 from repro.storage import GoFS
@@ -27,9 +35,24 @@ PARTITIONS = 3
 @pytest.fixture(scope="module")
 def case():
     tpl = make_grid_template(5, 6)
-    coll = build_collection(tpl, 4, populate_random(23), delta=6.0)
+    # An evolving edge set, so reachability and evolution read a real mask.
+    tpl.edge_schema.add(AttributeSpec(IS_EXISTS, "bool"))
+    populate = populate_random(23)
+
+    def populate_with_existence(inst, t):
+        populate(inst, t)
+        exists = np.random.default_rng(100 + t).random(tpl.num_edges) < 0.8
+        inst.edge_table.set_column(IS_EXISTS, exists)
+
+    coll = build_collection(tpl, 4, populate_with_existence, delta=6.0)
     pg = partition_graph(tpl, PARTITIONS, HashPartitioner(seed=3))
     return tpl, coll, pg
+
+
+#: Every computation that reads instance attributes.
+ATTRIBUTE_READERS = [
+    "tdsp", "meme", "hash", "sssp", "reach", "evolve", "topn", "stats", "vertex-sssp",
+]
 
 
 def _computation(name, pg):
@@ -37,7 +60,21 @@ def _computation(name, pg):
         return TDSPComputation(0)
     if name == "meme":
         return MemeTrackingComputation(1)
-    return HashtagAggregationComputation.for_partitioned_graph(pg, 2)
+    if name == "hash":
+        return HashtagAggregationComputation.for_partitioned_graph(pg, 2)
+    if name == "sssp":
+        return SSSPComputation(0)
+    if name == "reach":
+        return TemporalReachabilityComputation(0)
+    if name == "evolve":
+        return CommunityEvolutionComputation(pg.template.num_vertices)
+    if name == "topn":
+        return TopNComputation(4, "traffic")
+    if name == "stats":
+        return InstanceStatisticsComputation("latency", on="edges", range_high=8.0)
+    if name == "vertex-sssp":
+        return VertexCentricAdapter(VertexSSSP(0), pg.vertex_subgraph, "latency")
+    raise ValueError(name)
 
 
 def _canonical(obj):
@@ -107,16 +144,25 @@ def gofs_store(case, tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+#: (executor, computation) pairs; the TDSP cases keep bare executor ids.
+GOFS_CASES = [
+    pytest.param(executor, name, id=executor if name == "tdsp" else f"{executor}-{name}")
+    for name in ATTRIBUTE_READERS
+    for executor in ("serial", "thread", "process")
+]
+
+
+@pytest.mark.parametrize("executor,name", GOFS_CASES)
 @pytest.mark.parametrize("prefetch", [False, True])
-def test_gofs_prefetch_matches_serial_collection(case, gofs_store, executor, prefetch):
+def test_gofs_prefetch_matches_serial_collection(case, gofs_store, executor, name, prefetch):
     """GoFS-backed runs — prefetch on or off — agree bit-for-bit with the
-    in-memory collection baseline on every executor backend."""
+    in-memory collection baseline on every executor backend, for every
+    computation that reads instance attributes."""
     _tpl, coll, pg = case
-    baseline = _snapshot("tdsp", pg, coll, "serial")
+    baseline = _snapshot(name, pg, coll, "serial")
     sources = GoFS.partition_views(gofs_store, prefetch=prefetch, cache_packs=2)
     res = run_application(
-        _computation("tdsp", pg),
+        _computation(name, pg),
         pg,
         coll,
         sources=sources,

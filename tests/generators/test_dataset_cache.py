@@ -78,8 +78,8 @@ class TestColdWarmIdentity:
             assert warm[name]["template"].equals(cold[name]["template"])
             for kind in ("road", "tweets"):
                 ic, iw = cold[name][kind].instance(2), warm[name][kind].instance(2)
-                for col in ic.vertex_values.schema.names:
-                    a, b = ic.vertex_values.column(col), iw.vertex_values.column(col)
+                for col in ic.vertex_table.schema.names:
+                    a, b = ic.vertex_table.column(col), iw.vertex_table.column(col)
                     assert np.array_equal(np.asarray(a), np.asarray(b))
 
     def test_warm_equals_uncached(self, tmp_path):

@@ -163,4 +163,4 @@ class TestPaperDatasets:
             assert len(d["tweets"]) == 6
             assert "latency" in d["template"].edge_schema
             inst = d["tweets"].instance(0)
-            assert inst.vertex_values.n == d["template"].num_vertices
+            assert inst.vertex_table.n == d["template"].num_vertices

@@ -170,7 +170,7 @@ class TestDistributionEquivalence:
 
         coll = make_collection(tpl, 10, pop, delta=5.0)
         inst = coll.instance(4)
-        tweets = inst.vertex_values.column("tweets")
+        tweets = inst.vertex_table.column("tweets")
         for i, meme in enumerate([0, 1]):
             active = pop.active_mask(i, 4)
             tweeting = np.fromiter(

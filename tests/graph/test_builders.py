@@ -102,7 +102,7 @@ class TestBuildCollection:
         tpl = self.make_template()
 
         def pop(inst, t):
-            inst.vertex_values.set_column("v", np.full(2, float(t)))
+            inst.vertex_table.set_column("v", np.full(2, float(t)))
 
         coll = build_collection(tpl, 3, pop, t0=1.0, delta=0.5)
         assert len(coll) == 3

@@ -27,14 +27,14 @@ class TestBasics:
         tpl = template_with([("v", "float")], [("w", "float")])
         inst = GraphInstance(tpl, 3.0)
         assert inst.timestamp == 3.0
-        assert inst.vertex_values.n == 4
-        assert inst.edge_values.n == 3
+        assert inst.vertex_table.n == 4
+        assert inst.edge_table.n == 3
 
     def test_accessors(self):
         tpl = template_with([("v", "float")], [("w", "float")])
         inst = GraphInstance(tpl, 0.0)
-        inst.vertex_values.set("v", 1, 7.0)
-        inst.edge_values.set("w", 2, 9.0)
+        inst.vertex_table.set("v", 1, 7.0)
+        inst.edge_table.set("w", 2, 9.0)
         assert inst.vertex("v", 1) == 7.0
         assert inst.edge("w", 2) == 9.0
         assert np.array_equal(inst.vertex_column("v"), [0, 7.0, 0, 0])
@@ -43,21 +43,21 @@ class TestBasics:
     def test_row_count_mismatch(self):
         tpl = template_with([("v", "float")])
         bad = tpl.vertex_schema.create_table(3)
-        with pytest.raises(ValueError, match="vertex_values"):
-            GraphInstance(tpl, 0.0, vertex_values=bad)
+        with pytest.raises(ValueError, match="vertex_table"):
+            GraphInstance(tpl, 0.0, vertex_table=bad)
 
     def test_edge_row_count_mismatch(self):
         tpl = template_with(edge_attrs=[("w", "float")])
         bad = tpl.edge_schema.create_table(2)
-        with pytest.raises(ValueError, match="edge_values"):
-            GraphInstance(tpl, 0.0, edge_values=bad)
+        with pytest.raises(ValueError, match="edge_table"):
+            GraphInstance(tpl, 0.0, edge_table=bad)
 
     def test_copy_shares_template_not_values(self):
         tpl = template_with([("v", "float")])
         inst = GraphInstance(tpl, 1.0)
-        inst.vertex_values.set("v", 0, 5.0)
+        inst.vertex_table.set("v", 0, 5.0)
         dup = inst.copy()
-        dup.vertex_values.set("v", 0, 6.0)
+        dup.vertex_table.set("v", 0, 6.0)
         assert inst.vertex("v", 0) == 5.0
         assert dup.template is tpl
 
@@ -65,7 +65,7 @@ class TestBasics:
         tpl = template_with([("v", "float")])
         a, b = GraphInstance(tpl, 1.0), GraphInstance(tpl, 1.0)
         assert a.equals(b)
-        b.vertex_values.set("v", 0, 1.0)
+        b.vertex_table.set("v", 0, 1.0)
         assert not a.equals(b)
         assert not a.equals(GraphInstance(tpl, 2.0))
 
@@ -83,13 +83,13 @@ class TestExistsMasks:
         tpl = template_with([AttributeSpec(IS_EXISTS, "bool", default=True)])
         inst = GraphInstance(tpl, 0.0)
         assert inst.vertex_exists_mask().all()
-        inst.vertex_values.set(IS_EXISTS, 2, False)
+        inst.vertex_table.set(IS_EXISTS, 2, False)
         mask = inst.vertex_exists_mask()
         assert not mask[2] and mask[[0, 1, 3]].all()
 
     def test_edge_is_exists(self):
         tpl = template_with(edge_attrs=[AttributeSpec(IS_EXISTS, "bool", default=True)])
         inst = GraphInstance(tpl, 0.0)
-        inst.edge_values.set(IS_EXISTS, 0, False)
+        inst.edge_table.set(IS_EXISTS, 0, False)
         mask = inst.edge_exists_mask()
         assert not mask[0] and mask[1:].all()

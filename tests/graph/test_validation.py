@@ -67,14 +67,14 @@ class TestInstanceValidation:
         tpl = good_template()
         inst = GraphInstance(tpl, 0.0)
         # Bypass set_column's coercion to simulate a corrupt table.
-        inst.vertex_values._columns["v"] = np.zeros(4, dtype=np.int32)
+        inst.vertex_table._columns["v"] = np.zeros(4, dtype=np.int32)
         with pytest.raises(ValidationError, match="dtype"):
             validate_instance(inst)
 
     def test_unknown_column(self):
         tpl = good_template()
         inst = GraphInstance(tpl, 0.0)
-        inst.vertex_values._columns["ghost"] = np.zeros(4)
+        inst.vertex_table._columns["ghost"] = np.zeros(4)
         with pytest.raises(ValidationError, match="not in schema"):
             validate_instance(inst)
 

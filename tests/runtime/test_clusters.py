@@ -20,9 +20,7 @@ class EchoState(TimeSeriesComputation):
     def compute(self, ctx):
         if ctx.superstep == 0:
             carried = sum(m.payload for m in ctx.messages) if ctx.messages else 0
-            ctx.state["total"] = carried + int(
-                ctx.instance.edge_column("latency")[ctx.subgraph.edge_index].sum()
-            )
+            ctx.state["total"] = carried + int(ctx.edge_values("latency").sum())
             # Ping a neighbor subgraph to exercise superstep messaging.
             nbrs = ctx.subgraph.neighbor_subgraphs
             if len(nbrs):

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.generators import road_latency_collection
 from repro.graph import build_collection
 from repro.partition import HashPartitioner, partition_graph
 from repro.storage import (
@@ -12,10 +13,37 @@ from repro.storage import (
     GoFSPartitionView,
     SliceKey,
     bin_rows,
+    read_slice,
     slice_filename,
     slice_nbytes,
 )
 from tests.conftest import make_grid_template, populate_random
+
+VERTEX_ATTRS = ("tweets", "traffic", "flag")  # ``flag`` is never populated
+
+
+def _same(got, want):
+    """Byte-exact for numeric columns, element-wise for object columns."""
+    if want.dtype == object:
+        return got.dtype == object and got.tolist() == want.tolist()
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def assert_serves(inst, want, subgraphs):
+    """``inst`` answers every accessor exactly as the collection instance
+    ``want`` does, for every attribute of every subgraph given."""
+    assert inst.timestamp == want.timestamp
+    for sg in subgraphs:
+        for name in VERTEX_ATTRS:
+            assert _same(inst.vertex_values(sg, name), want.vertex_values(sg, name)), (
+                sg.subgraph_id,
+                name,
+            )
+        assert not inst.vertex_values(sg, "flag").any()
+        assert _same(inst.edge_values(sg, "latency"), want.edge_values(sg, "latency"))
+        assert _same(
+            inst.remote_edge_values(sg, "latency"), want.remote_edge_values(sg, "latency")
+        )
 
 
 @pytest.fixture
@@ -55,6 +83,41 @@ class TestWrite:
         root, tpl, *_ = store
         assert GoFS.load_template(root).equals(tpl)
 
+    def test_unpopulated_columns_not_stored(self, tmp_path):
+        tpl = make_grid_template(5, 6)
+        coll = road_latency_collection(tpl, 6, seed=3, delta=5.0)
+        pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
+        manifest = GoFS.write_collection(tmp_path, pg, coll, packing=4, binning=2)
+        for p, bins in enumerate(manifest["bins"]):
+            for b in range(len(bins)):
+                for k in range(2):
+                    data = read_slice(tmp_path, SliceKey(p, b, k))
+                    assert set(data) == {"vertex_rows", "edge_rows", "timestamps", "e__latency"}
+        inst = GoFS.partition_view(tmp_path, 0).instance(5)
+        for sg in pg.partitions[0].subgraphs:
+            assert inst.vertex_values(sg, "tweets").tolist() == [None] * sg.num_vertices
+            assert not inst.vertex_values(sg, "traffic").any()
+
+    def test_column_populated_on_some_timesteps_roundtrips(self, tmp_path):
+        tpl = make_grid_template(5, 6)
+
+        def sometimes(inst, t):
+            rng = np.random.default_rng(t)
+            inst.edge_table.set_column("latency", rng.uniform(0.5, 8.0, tpl.num_edges))
+            if t % 3 == 1:  # only t = 1 and 4 populate traffic
+                inst.vertex_table.set_column("traffic", rng.uniform(1, 100, tpl.num_vertices))
+
+        coll = build_collection(tpl, 7, sometimes, delta=2.0)
+        pg = partition_graph(tpl, 3, HashPartitioner(seed=1))
+        GoFS.write_collection(tmp_path, pg, coll, packing=3, binning=2)
+        for p in range(3):
+            view = GoFS.partition_view(tmp_path, p)
+            for t in range(7):
+                assert_serves(view.instance(t), coll.instance(t), pg.partitions[p].subgraphs)
+        # The last pack (t=6) never populated traffic: no column in its slices.
+        assert "v__traffic" not in read_slice(tmp_path, SliceKey(0, 0, 2))
+        assert "v__traffic" in read_slice(tmp_path, SliceKey(0, 0, 0))
+
     def test_bad_packing(self, store, tmp_path):
         root, tpl, coll, pg, _ = store
         with pytest.raises(ValueError):
@@ -66,29 +129,35 @@ class TestPartitionView:
         root, tpl, coll, pg, _ = store
         for p in range(3):
             view = GoFS.partition_view(root, p)
-            own_vertices = pg.partitions[p].vertices
-            own_edges = np.unique(
-                np.concatenate(
-                    [sg.edge_index for sg in pg.partitions[p].subgraphs]
-                    + [sg.remote.edge_index for sg in pg.partitions[p].subgraphs]
-                )
-            )
-            for t in (0, 3, 4, 11):
-                got = view.instance(t)
-                want = coll.instance(t)
-                assert got.timestamp == want.timestamp
-                assert np.array_equal(
-                    got.vertex_column("traffic")[own_vertices],
-                    want.vertex_column("traffic")[own_vertices],
-                )
-                assert np.array_equal(
-                    got.edge_column("latency")[own_edges],
-                    want.edge_column("latency")[own_edges],
-                )
-                # Object column (tweets) round-trips too.
-                got_tw = got.vertex_column("tweets")[own_vertices]
-                want_tw = want.vertex_column("tweets")[own_vertices]
-                assert all(a == b for a, b in zip(got_tw, want_tw))
+            for t in range(12):
+                assert_serves(view.instance(t), coll.instance(t), pg.partitions[p].subgraphs)
+
+    def test_foreign_subgraph_rejected(self, store):
+        root, tpl, coll, pg, _ = store
+        inst = GoFS.partition_view(root, 0).instance(0)
+        foreign = pg.partitions[1].subgraphs[0]
+        reads = [
+            (inst.vertex_values, "traffic"),
+            (inst.edge_values, "latency"),
+            (inst.remote_edge_values, "latency"),
+        ]
+        for read, name in reads:
+            with pytest.raises(ValueError, match=rf"subgraph {foreign.subgraph_id} .*partition 0"):
+                read(foreign, name)
+
+    def test_subgraph_from_other_partitioning_rejected(self, store):
+        root, tpl, coll, pg, _ = store
+        other = partition_graph(tpl, 3, HashPartitioner(seed=2))
+        inst = GoFS.partition_view(root, 0).instance(0)
+        own = {sg.subgraph_id for sg in pg.partitions[0].subgraphs}
+        stranger = next(
+            sg
+            for sg in other.subgraphs
+            if sg.subgraph_id in own
+            and not np.array_equal(sg.vertices, pg.subgraphs[sg.subgraph_id].vertices)
+        )
+        with pytest.raises(ValueError, match=rf"subgraph {stranger.subgraph_id} does not match"):
+            inst.vertex_values(stranger, "traffic")
 
     def test_load_events_at_pack_boundaries(self, store):
         root, *_ = store
@@ -131,11 +200,8 @@ class TestPartitionView:
         clone = pickle.loads(pickle.dumps(view))
         assert clone.partition_id == 1
         assert clone.resident_bytes() == 0  # cache not carried over
-        own = pg.partitions[1].vertices
-        assert np.array_equal(
-            clone.instance(5).vertex_column("traffic")[own],
-            coll.instance(5).vertex_column("traffic")[own],
-        )
+        for t in range(12):
+            assert_serves(clone.instance(t), coll.instance(t), pg.partitions[1].subgraphs)
 
     def test_partition_views_helper(self, store):
         root, *_ = store
@@ -309,11 +375,8 @@ class TestSharedManifest:
     def test_shared_views_still_read_correctly(self, store):
         root, tpl, coll, pg, _ = store
         views = GoFS.partition_views(root)
-        own = pg.partitions[2].vertices
-        assert np.array_equal(
-            views[2].instance(5).vertex_column("traffic")[own],
-            coll.instance(5).vertex_column("traffic")[own],
-        )
+        for p, view in enumerate(views):
+            assert_serves(view.instance(5), coll.instance(5), pg.partitions[p].subgraphs)
 
     def test_pickled_clone_rereads_independently(self, store):
         root, *_ = store
@@ -357,14 +420,12 @@ class TestPrefetch:
         assert view.drain_hidden_load() == 0.0  # drained
 
     def test_prefetched_instance_bit_identical(self, store):
-        root, tpl, *_ = store
-        sync = GoFS.partition_view(root, 0)
-        pre = GoFS.partition_view(root, 0, prefetch=True)
-        pre.prefetch(4)
-        a, b = sync.instance(4), pre.instance(4)
-        assert a.timestamp == b.timestamp
-        assert np.array_equal(a.vertex_column("traffic"), b.vertex_column("traffic"))
-        assert np.array_equal(a.edge_column("latency"), b.edge_column("latency"))
+        root, tpl, coll, pg, _ = store
+        pre = GoFS.partition_view(root, 0, prefetch=True, cache_packs=3)
+        for t in range(12):
+            pre.prefetch(t + 1)
+            assert_serves(pre.instance(t), coll.instance(t), pg.partitions[0].subgraphs)
+        assert (pre.prefetch_hits, pre.prefetch_misses) == (3, 0)
 
     def test_auto_trigger_near_pack_boundary(self, store):
         root, *_ = store

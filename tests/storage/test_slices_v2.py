@@ -111,10 +111,10 @@ class TestWriteReadSlice:
         tweets = data["v__tweets"]
         assert tweets.shape == (3, len(verts))
         for i, inst in enumerate(instances):
-            want = inst.vertex_values.column("tweets")[verts]
+            want = inst.vertex_table.column("tweets")[verts]
             assert tweets[i].tolist() == want.tolist()
             np.testing.assert_array_equal(
-                data["e__latency"][i], inst.edge_values.column("latency")[edges]
+                data["e__latency"][i], inst.edge_table.column("latency")[edges]
             )
 
     def test_missing_slice_names_gsl_path(self, tmp_path):
@@ -137,17 +137,14 @@ class TestGoFSFormats:
         for p in range(pg.num_partitions):
             view = GoFS.partition_view(tmp_path, p)
             for t in range(len(coll)):
-                inst = view.instance(t)
-                part = pg.partitions[p]
-                for sg in part.subgraphs:
-                    rows = sg.vertices
+                inst, want = view.instance(t), coll.instance(t)
+                for sg in pg.partitions[p].subgraphs:
                     np.testing.assert_array_equal(
-                        inst.vertex_column("traffic")[rows],
-                        coll.instance(t).vertex_column("traffic")[rows],
+                        inst.vertex_values(sg, "traffic"), want.vertex_values(sg, "traffic")
                     )
                     assert (
-                        inst.vertex_column("tweets")[rows].tolist()
-                        == coll.instance(t).vertex_column("tweets")[rows].tolist()
+                        inst.vertex_values(sg, "tweets").tolist()
+                        == want.vertex_values(sg, "tweets").tolist()
                     )
 
     def test_retired_npz_store_rejected(self, case, tmp_path):
